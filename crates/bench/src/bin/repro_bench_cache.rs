@@ -2,23 +2,29 @@
 //! hospital tenants, cold vs warm, recorded as `BENCH_cache_hit.json`.
 //!
 //! Protocol: two identically seeded runtimes — one with the fragment +
-//! plan caches disabled, one with them on — each serve the same workload
-//! twice. The first pass aligns both runtimes' simulated clocks (and
-//! fills the caches on the caching side); the second pass is the
-//! measured one: the cold runtime recomputes every fragment, the warm
-//! runtime serves them from the shared result cache.
+//! plan caches disabled, one with them on — serve the same workload. A
+//! first pass aligns both runtimes' simulated clocks (and fills the caches
+//! on the caching side); then [`PASSES`] measured passes alternate cold
+//! and warm: the cold runtime recomputes every fragment, the warm runtime
+//! serves them from the shared result cache.
 //!
-//! Gates:
-//! * warm qps >= 5x cold qps at 1 worker (the measured passes start from
-//!   bit-identical runtime states, so this is a pure hit-path-vs-
-//!   cold-path comparison);
+//! Gates (deterministic, so they hold on any host):
+//! * every warm pass runs 0 fragment executions and builds 0 cost models,
+//!   and every cold pass runs exactly 3 fragment executions and 1 build
+//!   per job (planning profiles the fragments once and execution reuses
+//!   the outputs);
+//! * every warm pass is all fragment-cache hits;
 //! * warm outcomes bit-identical to cold outcomes at 1 worker (including
 //!   simulated cost vectors) and at 4 workers (plans, rows,
 //!   fingerprints — racing workers reorder the drifting simulation, so
 //!   simulated wall-clock is not comparable across runs there);
 //! * a budget-bounded run stays within its byte budget while evicting.
+//!
+//! The warm/cold qps speedup is recorded per worker count as the median
+//! over the measured pairs with its min and max, not gated: it is a
+//! wall-clock ratio, and it moves with how cheap the cold path is.
 
-use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport};
+use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport, WorkCounters};
 use midas::{Midas, QueryPolicy};
 use midas_bench::{print_table, write_json};
 use midas_tpch::medical::{generate_medical, medical_query};
@@ -26,7 +32,8 @@ use midas_tpch::medical::{generate_medical, medical_query};
 const TENANTS: usize = 16;
 const ROUNDS: usize = 6;
 const PATIENTS: usize = 10_000;
-const MIN_SPEEDUP: f64 = 5.0;
+/// Measured cold/warm pass pairs per worker count.
+const PASSES: usize = 5;
 
 fn workload() -> Vec<RuntimeJob> {
     let modalities = ["CT", "MR", "US", "XR", "PET"];
@@ -77,9 +84,31 @@ fn canonical_outcomes(report: &RuntimeReport, with_costs: bool) -> Vec<String> {
 struct Measured {
     cold_qps: f64,
     warm_qps: f64,
-    speedup: f64,
+    /// Per-pair warm/cold qps ratios, sorted.
+    speedups: Vec<f64>,
     fragment_hit_rate: f64,
     plan_hit_rate: f64,
+}
+
+impl Measured {
+    fn speedup(&self) -> f64 {
+        median(&self.speedups)
+    }
+}
+
+/// Median of a sorted, non-empty sample.
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+fn sorted(mut samples: Vec<f64>) -> Vec<f64> {
+    samples.sort_by(f64::total_cmp);
+    samples
 }
 
 fn main() {
@@ -118,64 +147,75 @@ fn main() {
                 report.failed
             );
         }
-        let primed = warm_rt.cache_stats();
+        let mut cold_qps = Vec::with_capacity(PASSES);
+        let mut warm_qps = Vec::with_capacity(PASSES);
+        let mut speedups = Vec::with_capacity(PASSES);
+        for pass in 0..PASSES {
+            let ctx = format!("{workers} workers, pass {pass}");
+            let primed = warm_rt.cache_stats();
+            let cold = cold_rt.run(jobs.clone());
+            let warm = warm_rt.run(jobs.clone());
+            assert!(cold.failed.is_empty() && warm.failed.is_empty());
 
-        // Pass 2 is the measurement: pure cold path vs pure hit path.
-        let cold = cold_rt.run(jobs.clone());
-        let warm = warm_rt.run(jobs.clone());
-        assert!(cold.failed.is_empty() && warm.failed.is_empty());
+            // Gate: hit-path outcomes bit-identical to the cold path. At
+            // one worker the two runtimes served identical sequences from
+            // identical simulated clocks, so even the cost vectors must
+            // match bit-for-bit.
+            let with_costs = workers == 1;
+            assert_eq!(
+                canonical_outcomes(&warm, with_costs),
+                canonical_outcomes(&cold, with_costs),
+                "{ctx}: warm outcomes drifted from cold"
+            );
 
-        // Gate: hit-path outcomes bit-identical to the cold path. At one
-        // worker the two runtimes served identical sequences from
-        // identical simulated clocks, so even the cost vectors must
-        // match bit-for-bit.
-        let with_costs = workers == 1;
-        assert_eq!(
-            canonical_outcomes(&warm, with_costs),
-            canonical_outcomes(&cold, with_costs),
-            "{workers} workers: warm outcomes drifted from cold"
-        );
+            // Gate: the measured pass really was all hits (every fragment
+            // and plan was primed; nothing invalidated in between).
+            let stats = warm_rt.cache_stats();
+            let pass_hits = stats.fragment.hits - primed.fragment.hits;
+            let pass_misses = stats.fragment.misses - primed.fragment.misses;
+            assert_eq!(
+                pass_misses, 0,
+                "{ctx}: measured pass missed {pass_misses} fragments"
+            );
+            assert_eq!(pass_hits, 3 * n_jobs as u64);
 
-        // Gate: the measured pass really was all hits (every fragment
-        // and plan was primed; nothing invalidated in between).
+            // Gate: deterministic work. The warm pass executes nothing and
+            // builds no cost model; the cold pass profiles each job's three
+            // fragments once and executes them no second time.
+            assert_eq!(
+                warm.work,
+                WorkCounters::default(),
+                "{ctx}: warm pass did work"
+            );
+            assert_eq!(
+                cold.work,
+                WorkCounters {
+                    fragment_executions: 3 * n_jobs as u64,
+                    cost_model_builds: n_jobs as u64,
+                },
+                "{ctx}: cold pass work"
+            );
+
+            cold_qps.push(cold.throughput_qps);
+            warm_qps.push(warm.throughput_qps);
+            speedups.push(warm.throughput_qps / cold.throughput_qps);
+        }
         let stats = warm_rt.cache_stats();
-        let pass_hits = stats.fragment.hits - primed.fragment.hits;
-        let pass_misses = stats.fragment.misses - primed.fragment.misses;
-        assert_eq!(
-            pass_misses, 0,
-            "{workers} workers: measured pass missed {pass_misses} fragments"
-        );
-        assert_eq!(pass_hits, 3 * n_jobs as u64);
         let fragment_hit_rate =
             stats.fragment.hits as f64 / (stats.fragment.hits + stats.fragment.misses) as f64;
-        let plan_hit_rate =
-            stats.plan.hits as f64 / (stats.plan.hits + stats.plan.misses) as f64;
+        let plan_hit_rate = stats.plan.hits as f64 / (stats.plan.hits + stats.plan.misses) as f64;
 
-        let speedup = warm.throughput_qps / cold.throughput_qps;
         sweep.push((
             workers,
             Measured {
-                cold_qps: cold.throughput_qps,
-                warm_qps: warm.throughput_qps,
-                speedup,
+                cold_qps: median(&sorted(cold_qps)),
+                warm_qps: median(&sorted(warm_qps)),
+                speedups: sorted(speedups),
                 fragment_hit_rate,
                 plan_hit_rate,
             },
         ));
     }
-
-    // Gate: the warm pass clears the speedup bar at 1 worker (wall-clock
-    // parallelism noise is kept out of the enforced gate; the 4-worker
-    // numbers are recorded alongside).
-    let serial = &sweep[0].1;
-    assert!(
-        serial.speedup >= MIN_SPEEDUP,
-        "warm/cold speedup {:.2}x below the {MIN_SPEEDUP}x gate \
-         (cold {:.1} qps, warm {:.1} qps)",
-        serial.speedup,
-        serial.cold_qps,
-        serial.warm_qps
-    );
 
     // Budget-bounded run: a cache two orders smaller than the resident
     // set must keep evicting yet never exceed its byte budget, and the
@@ -220,7 +260,15 @@ fn main() {
     );
 
     print_table(
-        &["workers", "cold qps", "warm qps", "speedup", "frag hit rate", "plan hit rate"],
+        &[
+            "workers",
+            "cold qps",
+            "warm qps",
+            "speedup (median)",
+            "speedup min..max",
+            "frag hit rate",
+            "plan hit rate",
+        ],
         &sweep
             .iter()
             .map(|(workers, m)| {
@@ -228,18 +276,26 @@ fn main() {
                     workers.to_string(),
                     format!("{:.1}", m.cold_qps),
                     format!("{:.1}", m.warm_qps),
-                    format!("{:.2}x", m.speedup),
+                    format!("{:.2}x", m.speedup()),
+                    format!(
+                        "{:.2}x..{:.2}x",
+                        m.speedups[0],
+                        m.speedups[m.speedups.len() - 1]
+                    ),
                     format!("{:.1}%", m.fragment_hit_rate * 100.0),
                     format!("{:.1}%", m.plan_hit_rate * 100.0),
                 ]
             })
             .collect::<Vec<_>>(),
     );
+    let serial = &sweep[0].1;
     println!(
-        "\ncache: {n_jobs} jobs x 2 passes over {TENANTS} tenants, warm pass all-hits \
-         and bit-identical to cold, {:.2}x serial speedup (gate {MIN_SPEEDUP}x), \
-         bounded run respected {budget} bytes with {} evictions",
-        serial.speedup, bounded_stats.evictions
+        "\ncache: {n_jobs} jobs x {PASSES} measured pass pairs over {TENANTS} tenants, warm \
+         passes all-hits with 0 fragment executions and 0 cost-model builds, bit-identical \
+         to cold; {:.2}x median serial speedup (recorded), bounded run respected {budget} \
+         bytes with {} evictions",
+        serial.speedup(),
+        bounded_stats.evictions
     );
 
     write_json(
@@ -249,6 +305,7 @@ fn main() {
             "tenants": TENANTS,
             "rounds": ROUNDS,
             "patients": PATIENTS,
+            "measured_pass_pairs": PASSES,
             "scope": "federation-global",
             "sweep": sweep
                 .iter()
@@ -257,7 +314,10 @@ fn main() {
                         "workers": workers,
                         "cold_qps": m.cold_qps,
                         "warm_qps": m.warm_qps,
-                        "speedup": m.speedup,
+                        "speedup": m.speedup(),
+                        "speedup_min": m.speedups[0],
+                        "speedup_max": m.speedups[m.speedups.len() - 1],
+                        "speedup_samples": m.speedups,
                         "fragment_hit_rate": m.fragment_hit_rate,
                         "plan_hit_rate": m.plan_hit_rate,
                     })
@@ -270,9 +330,15 @@ fn main() {
                 "budget_respected": true,
             }),
             "gates": serde_json::json!({
-                "speedup": serde_json::json!({
-                    "min": MIN_SPEEDUP,
-                    "workers": 1,
+                "speedup": "recorded only (median with min/max over the measured pairs)",
+                "warm_pass_work": serde_json::json!({
+                    "fragment_executions": 0,
+                    "cost_model_builds": 0,
+                    "enforced": true,
+                }),
+                "cold_pass_work_per_job": serde_json::json!({
+                    "fragment_executions": 3,
+                    "cost_model_builds": 1,
                     "enforced": true,
                 }),
                 "bit_identical_outcomes": "1 worker incl. simulated costs; 4 workers plans/rows/fingerprints",

@@ -28,6 +28,20 @@
 //! during a wave of independent fragments, those fragments can execute
 //! *concurrently* (see [`SharedExecutor::with_parallel_fragments`]) while
 //! the simulation bookkeeping still runs in deterministic fragment order.
+//!
+//! **Prepared outputs.** Planning already computes every fragment's result
+//! once: only sites, VMs and engines differ between candidate plans, so
+//! the relational outputs are placement-independent. A caller that holds
+//! them binds them as [`PreparedOutputs`]
+//! ([`SharedExecutor::with_prepared_outputs`], [`Executor::run_prepared`])
+//! and each fragment *takes* its output instead of executing. The take sits
+//! exactly where execution sat, so every other effect replays unchanged:
+//! per fragment, (1) an injected site outage fails first, (2) the result
+//! cache is probed (a hit discards the prepared output), (3) the admission
+//! permit is acquired, (4) the prepared output is taken — or, without one,
+//! the plan executes — (5) pacing holds the permit, (6) the permit is
+//! released and (7) the output is inserted into the cache. A run that fails
+//! hands the outputs it took back to the binding, so a retry reuses them.
 
 use crate::cache::{CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint};
 use crate::catalog::Catalog;
@@ -38,6 +52,7 @@ use crate::sim::{FaultPlan, SimulationEnv, SiteAdmission};
 use crate::data::Table;
 use midas_cloud::{Federation, InstanceType, Money, SiteId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -194,6 +209,19 @@ impl<'a> Executor<'a> {
         base_tables: &Catalog,
         work_scale: f64,
     ) -> Result<ExecutionOutcome, EngineError> {
+        self.run_prepared(query, base_tables, work_scale, &PreparedOutputs::default())
+    }
+
+    /// [`Executor::run_with_scale`] with fragment outputs computed ahead of
+    /// time: fragment `i` takes output `i` of `prepared` instead of
+    /// executing (see the module docs for where the take sits).
+    pub fn run_prepared(
+        &mut self,
+        query: &FederatedQuery,
+        base_tables: &Catalog,
+        work_scale: f64,
+        prepared: &PreparedOutputs,
+    ) -> Result<ExecutionOutcome, EngineError> {
         run_federated(
             self.federation,
             &mut EnvHandle::Exclusive(&mut self.env),
@@ -205,10 +233,65 @@ impl<'a> Executor<'a> {
                 partition_degree: self.partition_degree,
                 faults: None,
                 cache: None,
+                prepared: Some(prepared),
+                executions: None,
             },
             query,
             base_tables,
         )
+    }
+}
+
+/// One fragment's output: its result table and the work that produced it.
+pub type FragmentOutput = (Arc<Table>, WorkProfile);
+
+/// Fragment outputs computed before execution — by planning, which runs
+/// the placement-independent fragment plans once — bound to one federated
+/// run so that fragment `i` takes output `i` instead of executing.
+///
+/// The binding must hold the outputs of exactly the plans the run
+/// executes, in fragment order (for a two-table query: left prepare,
+/// right prepare, combine — the order `assemble` emits). Each output is
+/// *moved* out when its fragment takes it, so nothing outlives its use; a
+/// fragment served by the result cache discards its output, and a run that
+/// fails puts the outputs it took back for the retry. A fragment whose slot
+/// is empty executes as usual, so the default (empty) binding executes
+/// every fragment.
+#[derive(Debug, Default)]
+pub struct PreparedOutputs {
+    slots: Vec<Mutex<Option<FragmentOutput>>>,
+}
+
+impl PreparedOutputs {
+    /// Binds `outputs` in fragment order.
+    pub fn new(outputs: impl IntoIterator<Item = FragmentOutput>) -> Self {
+        PreparedOutputs {
+            slots: outputs.into_iter().map(|o| Mutex::new(Some(o))).collect(),
+        }
+    }
+
+    /// How many outputs are still bound (not yet taken or discarded).
+    pub fn remaining(&self) -> usize {
+        (0..self.slots.len())
+            .filter(|&idx| self.slot(idx).is_some_and(|s| s.is_some()))
+            .count()
+    }
+
+    fn slot(&self, idx: usize) -> Option<std::sync::MutexGuard<'_, Option<FragmentOutput>>> {
+        // A slot holds plain data, so a poisoned lock is still consistent.
+        self.slots
+            .get(idx)
+            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+    }
+
+    fn take(&self, idx: usize) -> Option<FragmentOutput> {
+        self.slot(idx)?.take()
+    }
+
+    fn restore(&self, idx: usize, output: FragmentOutput) {
+        if let Some(mut slot) = self.slot(idx) {
+            *slot = Some(output);
+        }
     }
 }
 
@@ -272,6 +355,10 @@ struct RunOptions<'a> {
     faults: Option<FaultContext<'a>>,
     /// Shared fragment-result cache (`None` = always execute cold).
     cache: Option<ResultCacheBinding<'a>>,
+    /// Outputs computed ahead of time (`None` = execute every fragment).
+    prepared: Option<&'a PreparedOutputs>,
+    /// Counts every fused execution the run performs.
+    executions: Option<&'a AtomicU64>,
 }
 
 /// How a run reaches the simulation environment: exclusively (the legacy
@@ -333,6 +420,8 @@ pub struct SharedExecutor<'a> {
     partition_degree: usize,
     faults: Option<FaultContext<'a>>,
     cache: Option<ResultCacheBinding<'a>>,
+    prepared: Option<&'a PreparedOutputs>,
+    executions: AtomicU64,
 }
 
 impl<'a> SharedExecutor<'a> {
@@ -352,6 +441,8 @@ impl<'a> SharedExecutor<'a> {
             partition_degree: 1,
             faults: None,
             cache: None,
+            prepared: None,
+            executions: AtomicU64::new(0),
         }
     }
 
@@ -427,6 +518,25 @@ impl<'a> SharedExecutor<'a> {
         self
     }
 
+    /// Binds fragment outputs computed ahead of time (see
+    /// [`PreparedOutputs`]): after the outage check, the cache probe and the
+    /// admission permit, fragment `i` takes output `i` instead of
+    /// executing, then paces, releases and populates the cache as an
+    /// executed fragment does. Results and simulated outcomes are
+    /// bit-identical to executing, because the outputs are what execution
+    /// would compute.
+    pub fn with_prepared_outputs(mut self, outputs: &'a PreparedOutputs) -> Self {
+        self.prepared = Some(outputs);
+        self
+    }
+
+    /// Fused fragment executions this executor has performed so far —
+    /// fragments served from the cache or from prepared outputs do not
+    /// count. A deterministic work counter, unlike wall-clock.
+    pub fn fragment_executions(&self) -> u64 {
+        self.executions.load(Ordering::Relaxed)
+    }
+
     /// Executes a federated query against base tables (logical scale 1).
     pub fn run(
         &self,
@@ -455,6 +565,8 @@ impl<'a> SharedExecutor<'a> {
                 partition_degree: self.partition_degree,
                 faults: self.faults,
                 cache: self.cache,
+                prepared: self.prepared,
+                executions: Some(&self.executions),
             },
             query,
             base_tables,
@@ -471,7 +583,8 @@ impl<'a> SharedExecutor<'a> {
 ///    wave is its depth in the `@frag` dependency DAG, so fragments of one
 ///    wave are mutually independent.
 /// 2. **Relational phase**, wave by wave: each fragment acquires its site
-///    permit, runs [`execute`] over the catalog, holds the permit through
+///    permit, runs the fused executor over the catalog (or takes its
+///    prepared output), holds the permit through
 ///    its paced occupancy, then releases. With `parallel` on, a wave's
 ///    fragments do this on scoped threads concurrently. Cross-site
 ///    transfer costs and instance shapes are resolved before the wave
@@ -511,6 +624,8 @@ fn run_federated(
         partition_degree,
         faults,
         cache,
+        prepared,
+        executions,
     } = opts;
     let work_scale = if work_scale.is_finite() && work_scale > 0.0 {
         work_scale
@@ -612,6 +727,8 @@ fn run_federated(
     let mut frag_bytes: Vec<u64> = vec![0; n];
     let mut cache_hits = 0u32;
     let mut sim = SimCursor::new(n);
+    // Prepared outputs this run took, handed back if it fails.
+    let mut taken: Vec<(usize, FragmentOutput)> = Vec::new();
 
     for wave in 0..n_waves {
         let members: Vec<usize> = (0..n).filter(|&i| wave_of[i] == wave).collect();
@@ -660,12 +777,13 @@ fn run_federated(
         // regardless of interleaving — throughput comparisons across
         // worker counts (and fragment-parallel modes) measure overlap,
         // not luck.
-        let run_one = |idx: usize| -> Result<(Arc<Table>, WorkProfile, bool), EngineError> {
+        let run_one = |idx: usize| -> Result<(Arc<Table>, WorkProfile, Origin), EngineError> {
             let fragment = &query.fragments[idx];
             // Injected outage: the site refuses the fragment before a slot
             // is even taken (a down site has no queue to wait in) — and
-            // before the cache is consulted, so a fault schedule replays
-            // identically whether the cache is warm or cold.
+            // before the cache is consulted or a prepared output used, so
+            // a fault schedule replays identically whether the cache is
+            // warm or cold and whether planning prepared the outputs.
             if let Some(f) = faults {
                 if f.site_down(fragment.site) {
                     return Err(EngineError::SiteUnavailable {
@@ -677,18 +795,34 @@ fn run_federated(
             // without taking a site slot, executing, or pacing. The cached
             // table and work profile are bit-identical to what execution
             // would produce, so everything downstream (simulation,
-            // billing, transfers) is unchanged.
+            // billing, transfers) is unchanged. A prepared output the hit
+            // makes redundant is dropped here rather than kept alive.
             if let (Some(binding), Some(key)) = (cache, &cache_keys[idx]) {
                 if let Some(hit) = binding.cache.get(key) {
-                    return Ok((Arc::clone(&hit.table), hit.work.clone(), true));
+                    drop(prepared.and_then(|p| p.take(idx)));
+                    return Ok((Arc::clone(&hit.table), hit.work.clone(), Origin::Cached));
                 }
             }
             let capped = faults.is_some_and(|f| f.capped(fragment.site));
             let permit = admission.map(|a| a.acquire_capped(fragment.site, capped));
-            let result =
-                crate::fused::execute_fused_with_partitions(&fragment.plan, &catalog, partition_degree);
+            // The prepared output stands in for execution at exactly this
+            // point: under the permit, before pacing and cache insertion.
+            let result = match prepared.and_then(|p| p.take(idx)) {
+                Some((table, work)) => Ok((table, work, Origin::Prepared)),
+                None => {
+                    if let Some(counter) = executions {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                    crate::fused::execute_fused_with_partitions(
+                        &fragment.plan,
+                        &catalog,
+                        partition_degree,
+                    )
+                    .map(|(table, work)| (Arc::new(table), work, Origin::Executed))
+                }
+            };
             if pacing > 0.0 {
-                if let (Ok((_, work)), Some(Ok(shape))) = (&result, &shapes[idx]) {
+                if let (Ok((_, work, _)), Some(Ok(shape))) = (&result, &shapes[idx]) {
                     let workers = fragment.vm_count.max(1) * shape.vcpus.max(1);
                     let profile = EngineProfile::for_engine(fragment.engine);
                     let nominal_s = transfers[idx].0
@@ -699,8 +833,7 @@ fn run_federated(
                 }
             }
             drop(permit);
-            let (table, work) = result?;
-            let table = Arc::new(table);
+            let (table, work, origin) = result?;
             if let (Some(binding), Some(key)) = (cache, &cache_keys[idx]) {
                 binding.cache.insert(
                     key.clone(),
@@ -711,7 +844,7 @@ fn run_federated(
                     binding.tenant,
                 );
             }
-            Ok((table, work, false))
+            Ok((table, work, origin))
         };
         // Admission-aware LPT launch order: within a *parallel* wave, start
         // the fragment with the largest estimated relational input first.
@@ -736,8 +869,8 @@ fn run_federated(
         } else {
             members.clone()
         };
-        // (table, work profile, served-from-cache) per fragment.
-        type FragmentRun = Result<(Arc<Table>, WorkProfile, bool), EngineError>;
+        // (table, work profile, where it came from) per fragment.
+        type FragmentRun = Result<(Arc<Table>, WorkProfile, Origin), EngineError>;
         let results: Vec<FragmentRun> =
             if parallel && launch_order.len() > 1 {
                 std::thread::scope(|scope| {
@@ -764,19 +897,25 @@ fn run_federated(
         // env must end an aborted query in the same state either way.
         let mut collected: Vec<_> = launch_order.into_iter().zip(results).collect();
         collected.sort_by_key(|(idx, _)| *idx);
+        for (idx, result) in &collected {
+            if let Ok((table, work, Origin::Prepared)) = result {
+                taken.push((*idx, (Arc::clone(table), work.clone())));
+            }
+        }
         for (idx, result) in collected {
-            let (table, work, hit) = match result {
+            let (table, work, origin) = match result {
                 Ok(ok) => ok,
                 Err(e) => {
                     sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
-                    return Err(e);
+                    return Err(give_back(prepared, taken, e));
                 }
             };
             if shapes[idx].as_ref().is_some_and(|shape| shape.is_err()) {
                 sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
-                return Err(shapes[idx].take().expect("staged").unwrap_err());
+                let e = shapes[idx].take().expect("staged").unwrap_err();
+                return Err(give_back(prepared, taken, e));
             }
-            cache_hits += hit as u32;
+            cache_hits += u32::from(origin == Origin::Cached);
             frag_bytes[idx] = table.estimated_bytes();
             catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
             executed[idx] = Some((table, work));
@@ -784,9 +923,11 @@ fn run_federated(
         sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
     }
 
-    // The catalog holds the only other reference to the final fragment's
-    // output; dropping it first makes the unwrap zero-copy.
+    // The catalog (and the give-back list) hold the only other references
+    // to the final fragment's output; dropping them first makes the unwrap
+    // zero-copy.
     drop(catalog);
+    drop(taken);
     let result = match sim.last_table {
         Some(table) => Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone()),
         None => Table::empty("empty"),
@@ -802,6 +943,32 @@ fn run_federated(
         cache_hits,
         fragments: sim.outcomes,
     })
+}
+
+/// Where a fragment's output came from in [`run_federated`].
+#[derive(Clone, Copy, PartialEq)]
+enum Origin {
+    /// The fused executor ran the plan.
+    Executed,
+    /// Taken from the run's [`PreparedOutputs`].
+    Prepared,
+    /// Served by the result cache.
+    Cached,
+}
+
+/// Returns the prepared outputs a failed run took to their binding (so a
+/// retry takes them again instead of executing), then yields the error.
+fn give_back(
+    prepared: Option<&PreparedOutputs>,
+    taken: Vec<(usize, FragmentOutput)>,
+    error: EngineError,
+) -> EngineError {
+    if let Some(binding) = prepared {
+        for (idx, output) in taken {
+            binding.restore(idx, output);
+        }
+    }
+    error
 }
 
 /// The simulation-phase cursor of [`run_federated`]: consumes completed

@@ -1,21 +1,63 @@
 //! Analytic per-configuration cost evaluation.
 //!
 //! The optimizer must cost *thousands* of equivalent QEPs (Example 3.1)
-//! without executing them. `PlanCostModel` runs the three fragments of a
-//! two-table query exactly once (pure relational execution, no simulation),
-//! keeps their [`WorkProfile`]s, and then evaluates any configuration in
-//! microseconds: engine profile + Amdahl scaling + transfer + pricing, at
-//! nominal load (the optimizer plans against expected conditions; the
-//! *executed* plan then experiences drift and noise).
+//! without executing them. `PlanCostModel` is built from one run of the
+//! three fragments of a two-table query (pure relational execution, no
+//! simulation), keeps their [`WorkProfile`]s, and then evaluates any
+//! configuration in microseconds: engine profile + Amdahl scaling +
+//! transfer + pricing, at nominal load (the optimizer plans against
+//! expected conditions; the *executed* plan then experiences drift and
+//! noise).
+//!
+//! **Profile once, execute once.** Only sites, VMs and engines differ
+//! between candidates, so the fragment results are the same for all of
+//! them. [`execute_fragments`] runs the three plans once through the fused
+//! executor and returns their `(Arc<Table>, WorkProfile)` outputs in
+//! `assemble` order; [`PlanCostModel::from_outputs`] builds the model from
+//! them, and the job pipelines then bind the same outputs to execution as
+//! [`PreparedOutputs`](midas_engines::PreparedOutputs), where each fragment
+//! takes its output in place of executing — after the outage check, the
+//! result-cache probe and the admission permit. [`PlanCostModel::build`]
+//! is the self-contained form for callers that only need the model.
 
 use crate::enumerate::CandidateConfig;
 use midas_cloud::{Federation, Money, SiteId};
 use midas_engines::engine::EngineProfile;
-use midas_engines::exec::simulate_fragment_seconds;
-use midas_engines::ops::{execute, WorkProfile};
+use midas_engines::exec::{simulate_fragment_seconds, FragmentOutput};
+use midas_engines::fused::execute_fused_with_partitions;
+use midas_engines::ops::WorkProfile;
+use midas_engines::placement::TableLocation;
 use midas_engines::version::CatalogVersion;
 use midas_engines::{Catalog, EngineError, EngineKind, Placement};
 use midas_tpch::TwoTableQuery;
+use std::sync::Arc;
+
+/// The outputs of a two-table query's three fragments — left prepare,
+/// right prepare, combine — in `assemble` order.
+pub type FragmentOutputs = [FragmentOutput; 3];
+
+/// Runs the query's three fragment plans once through the fused executor
+/// (joins and aggregations `partition_degree`-way sharded; results are
+/// bit-identical at every degree). The combine plan reads the prepared
+/// sides as `@frag0`/`@frag1` from a catalog seeded by `Arc` handle.
+pub fn execute_fragments(
+    query: &TwoTableQuery,
+    tables: &Catalog,
+    partition_degree: usize,
+) -> Result<FragmentOutputs, EngineError> {
+    let run = |plan, catalog| {
+        execute_fused_with_partitions(plan, catalog, partition_degree)
+            .map(|(table, work)| (Arc::new(table), work))
+    };
+    let left = run(&query.left_prepare, tables)?;
+    let right = run(&query.right_prepare, tables)?;
+    // Cloning a catalog copies Arc handles, not table bytes.
+    let mut catalog = tables.clone();
+    catalog.insert_shared("@frag0", Arc::clone(&left.0));
+    catalog.insert_shared("@frag1", Arc::clone(&right.0));
+    let combine = run(&query.combine, &catalog)?;
+    Ok([left, right, combine])
+}
 
 /// A penalty argument the pressure mechanism refuses to fold in.
 ///
@@ -55,6 +97,17 @@ fn check_penalty(penalty: f64) -> Result<f64, CostModelError> {
     }
 }
 
+/// Where the query's two base tables live.
+fn locate(
+    placement: &Placement,
+    query: &TwoTableQuery,
+) -> Result<(TableLocation, TableLocation), EngineError> {
+    Ok((
+        placement.locate(&query.left_table)?,
+        placement.locate(&query.right_table)?,
+    ))
+}
+
 /// A reusable cost evaluator for one query over one database.
 #[derive(Debug, Clone)]
 pub struct PlanCostModel {
@@ -79,37 +132,42 @@ pub struct PlanCostModel {
 }
 
 impl PlanCostModel {
-    /// Builds the model by executing the query's fragments once.
+    /// Builds the model by executing the query's fragments once (serially,
+    /// through the fused executor). A thin wrapper over
+    /// [`execute_fragments`] + [`PlanCostModel::from_outputs`] for callers
+    /// that only need the model; the job pipelines call the two halves
+    /// themselves so execution can reuse the outputs.
     pub fn build(
         placement: &Placement,
         query: &TwoTableQuery,
         tables: &Catalog,
     ) -> Result<Self, EngineError> {
-        let left = placement.locate(&query.left_table)?;
-        let right = placement.locate(&query.right_table)?;
+        // Placement errors surface before any execution.
+        locate(placement, query)?;
+        Self::from_outputs(placement, query, &execute_fragments(query, tables, 1)?)
+    }
 
-        let (left_table, work_left) = execute(&query.left_prepare, tables)?;
-        let (right_table, work_right) = execute(&query.right_prepare, tables)?;
-        let left_bytes = left_table.estimated_bytes();
-        let right_bytes = right_table.estimated_bytes();
-
-        // Cloning a catalog copies Arc handles, not table bytes; only the
-        // two prepared intermediates are owned here.
-        let mut catalog = tables.clone();
-        catalog.insert("@frag0", left_table);
-        catalog.insert("@frag1", right_table);
-        let (_, work_combine) = execute(&query.combine, &catalog)?;
-
+    /// Builds the model from the fragment outputs of
+    /// [`execute_fragments`]: their three work profiles plus the byte sizes
+    /// of the two prepared sides (what a non-local join ships). The outputs
+    /// are only read, so the caller can hand them on to execution.
+    pub fn from_outputs(
+        placement: &Placement,
+        query: &TwoTableQuery,
+        outputs: &FragmentOutputs,
+    ) -> Result<Self, EngineError> {
+        let (left, right) = locate(placement, query)?;
+        let [(left_table, work_left), (right_table, work_right), (_, work_combine)] = outputs;
         Ok(PlanCostModel {
             left_site: left.site,
             right_site: right.site,
             left_engine: left.engine,
             right_engine: right.engine,
-            work_left,
-            work_right,
-            work_combine,
-            left_bytes,
-            right_bytes,
+            work_left: work_left.clone(),
+            work_right: work_right.clone(),
+            work_combine: work_combine.clone(),
+            left_bytes: left_table.estimated_bytes(),
+            right_bytes: right_table.estimated_bytes(),
             site_factors: Vec::new(),
         })
     }

@@ -11,7 +11,8 @@
 //!   count), including the Example 3.1 configuration counting.
 //! * [`costmodel`] — an analytic per-configuration cost evaluator built from
 //!   one real execution's work profile; it powers the optimizer experiments
-//!   where thousands of equivalent QEPs must be costed cheaply.
+//!   where thousands of equivalent QEPs must be costed cheaply, and its
+//!   fragment outputs are handed on to execution instead of recomputed.
 //! * [`optimizer`] — the **Multi-Objective Optimizer**: the Pareto/GA
 //!   pipeline (NSGA-II → Pareto set → Algorithm 2) and the Weighted Sum
 //!   Model pipeline it is compared against in Figure 3.
@@ -27,7 +28,7 @@ pub mod modelling;
 pub mod optimizer;
 pub mod scheduler;
 
-pub use costmodel::{CostModelError, PlanCostModel};
+pub use costmodel::{execute_fragments, CostModelError, FragmentOutputs, PlanCostModel};
 pub use enumerate::{assemble, CandidateConfig, EnumerationSpace};
 pub use modelling::{EstimatorFactory, Modelling, ModellingRegistry};
 pub use optimizer::{moqp_ga, moqp_wsm, MoqpOutcome};

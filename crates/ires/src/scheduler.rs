@@ -4,11 +4,17 @@
 //! environment) plus one [`Modelling`](crate::modelling::Modelling) per query class, keyed by the query's
 //! [`midas_tpch::QueryId`]-level label. Every execution feeds the history, so
 //! estimators learn online exactly as IReS does.
+//!
+//! Each query is executed once: [`Scheduler::profile`] runs the fragments
+//! through the fused executor and builds the cost model from their outputs,
+//! and [`Scheduler::execute_prepared`] binds those outputs to execution —
+//! the same path the concurrent runtime takes.
 
+use crate::costmodel::{execute_fragments, PlanCostModel};
 use crate::enumerate::{assemble, CandidateConfig};
 use midas_cloud::Federation;
 use midas_dream::EstimationError;
-use midas_engines::exec::{ExecutionOutcome, Executor};
+use midas_engines::exec::{ExecutionOutcome, Executor, PreparedOutputs};
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
 use midas_engines::version::CatalogVersion;
 use midas_engines::{Catalog, EngineError, Placement};
@@ -130,6 +136,7 @@ pub struct Scheduler<'a> {
     placement: Placement,
     executor: Executor<'a>,
     work_scale: f64,
+    partition_degree: usize,
 }
 
 impl<'a> Scheduler<'a> {
@@ -150,6 +157,7 @@ impl<'a> Scheduler<'a> {
             } else {
                 1.0
             },
+            partition_degree: config.partition_degree,
         }
     }
 
@@ -177,6 +185,34 @@ impl<'a> Scheduler<'a> {
         config: &CandidateConfig,
         tables: &Catalog,
     ) -> Result<ExecutedQuery, SchedulerError> {
+        self.execute_prepared(query, config, tables, &PreparedOutputs::default())
+    }
+
+    /// Profiles a query for planning: runs its three fragments once
+    /// through the fused executor at this scheduler's partition degree and
+    /// builds the cost model from their outputs, which come back bound as
+    /// [`PreparedOutputs`] for [`Scheduler::execute_prepared`].
+    pub fn profile(
+        &self,
+        query: &TwoTableQuery,
+        tables: &Catalog,
+    ) -> Result<(PlanCostModel, PreparedOutputs), SchedulerError> {
+        let outputs = execute_fragments(query, tables, self.partition_degree)?;
+        let model = PlanCostModel::from_outputs(&self.placement, query, &outputs)?;
+        Ok((model, PreparedOutputs::new(outputs)))
+    }
+
+    /// [`Scheduler::execute_with_config`] with the fragment outputs
+    /// [`Scheduler::profile`] computed: each fragment takes its output
+    /// instead of executing again. Signals are bit-identical to
+    /// `execute_with_config`.
+    pub fn execute_prepared(
+        &mut self,
+        query: &TwoTableQuery,
+        config: &CandidateConfig,
+        tables: &Catalog,
+        prepared: &PreparedOutputs,
+    ) -> Result<ExecutedQuery, SchedulerError> {
         let federated = assemble(self.federation, &self.placement, query, config)?;
         let left_rows = base_rows(tables, &query.left_table)?;
         let right_rows = base_rows(tables, &query.right_table)?;
@@ -194,7 +230,7 @@ impl<'a> Scheduler<'a> {
         }
         let outcome = self
             .executor
-            .run_with_scale(&federated, tables, self.work_scale)?;
+            .run_prepared(&federated, tables, self.work_scale, prepared)?;
         let features = features_from(left_rows, right_rows, &outcome, self.work_scale);
         let costs = outcome.cost_vector();
         Ok(ExecutedQuery {

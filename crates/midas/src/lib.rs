@@ -32,5 +32,6 @@ pub mod system;
 pub use runtime::{
     FailedJob, FederationRuntime, Ingress, LatencyStats, RuntimeCacheStats, RuntimeConfig,
     RuntimeError, RuntimeJob, RuntimeReport, TenantQueueStats, TenantReport, TenantStats,
+    WorkCounters,
 };
 pub use system::{Midas, MidasReport, MidasSession, QueryPolicy};

@@ -25,7 +25,9 @@
 //!   level, with no locks on the read path.
 //! * **Plan** — QEP enumeration, analytic costing and multi-objective
 //!   selection run against the job's pinned version, fully in parallel
-//!   across workers.
+//!   across workers. Costing runs the job's three fragments once through
+//!   the fused executor, and execution takes those outputs instead of
+//!   recomputing them, so an uncached job executes each fragment once.
 //! * **Execute** — relational execution is serialized *per simulated site*
 //!   through the federation's admission queues
 //!   ([`midas_engines::sim::SiteAdmission`]); the drifting
@@ -72,13 +74,13 @@ use midas_engines::cache::{
     CacheKey, CacheScope, CacheStats, FragmentResultCache, PlanFingerprint, ScopedCache,
 };
 use midas_engines::data::Table;
-use midas_engines::exec::{ResultCacheBinding, SharedExecutor};
+use midas_engines::exec::{PreparedOutputs, ResultCacheBinding, SharedExecutor};
 use midas_engines::sim::{AdmissionStats, DriftIntensity, FaultPlan, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, VersionedCatalog};
 use midas_engines::{Catalog, EngineError, Placement};
 use midas_ires::optimizer::moqp_exhaustive;
 use midas_ires::scheduler::{base_rows, features_from, SchedulerError};
-use midas_ires::{assemble, EnumerationSpace, ModellingRegistry, PlanCostModel};
+use midas_ires::{assemble, execute_fragments, EnumerationSpace, ModellingRegistry, PlanCostModel};
 use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
 use std::collections::{HashMap, VecDeque};
@@ -429,8 +431,25 @@ pub struct RuntimeReport {
     pub replans: u64,
     /// Re-plans that actually switched the executed plan.
     pub plan_switches: u64,
+    /// The call's relational work, completed and failed jobs alike — see
+    /// [`WorkCounters`].
+    pub work: WorkCounters,
     /// Federation-wide tail-latency percentiles over all completed jobs.
     pub latency: LatencyStats,
+}
+
+/// Deterministic work counters of one service call. Unlike wall-clock
+/// figures they depend only on the workload and the configuration (with
+/// the caches off, or at one worker), so gates on them hold on any host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Fragment plans run through the fused executor, in planning plus
+    /// execution. An uncached job costs 3: planning runs its three
+    /// fragments once and execution takes those outputs; a plan-cache hit
+    /// executes only what the fragment cache misses.
+    pub fragment_executions: u64,
+    /// Cost models built (plan-cache misses that reached costing).
+    pub cost_model_builds: u64,
 }
 
 /// One queued unit of admitted work: the job plus its pinned snapshot and
@@ -887,6 +906,7 @@ struct ResultSink {
     completed: Vec<TenantReport>,
     failed: Vec<FailedJob>,
     completions: usize,
+    work: WorkCounters,
 }
 
 /// Per-tenant failure ledger behind the quarantine policy. Tenant jobs are
@@ -1353,6 +1373,7 @@ impl<'a> FederationRuntime<'a> {
             // under replay (unlike the wall-clock wait above).
             let waited_s = admitted_s - admitted.queued_clock_s;
             let tenant = admitted.job.tenant.clone();
+            let mut work = WorkCounters::default();
             let outcome: Result<ProcessOutcome, RuntimeError> = match &admitted.rejection {
                 // Statically rejected at admission: fail immediately —
                 // before the quarantine gate (the rejection is not a
@@ -1361,7 +1382,7 @@ impl<'a> FederationRuntime<'a> {
                 None => match self.quarantine_gate(&tenant) {
                     Some(rejected) => Err(rejected),
                     None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.process(&admitted, waited_s)
+                        self.process(&admitted, waited_s, &mut work)
                     })) {
                         Ok(result) => result,
                         Err(payload) => {
@@ -1377,6 +1398,8 @@ impl<'a> FederationRuntime<'a> {
                 let mut sink = lock_recover(sink);
                 let completion = sink.completions;
                 sink.completions += 1;
+                sink.work.fragment_executions += work.fragment_executions;
+                sink.work.cost_model_builds += work.cost_model_builds;
                 match outcome {
                     Ok(ProcessOutcome {
                         report,
@@ -1428,6 +1451,7 @@ impl<'a> FederationRuntime<'a> {
         let ResultSink {
             mut completed,
             mut failed,
+            work,
             ..
         } = sink;
         completed.sort_by_key(|r| r.sequence);
@@ -1491,6 +1515,7 @@ impl<'a> FederationRuntime<'a> {
             cache: self.cache_stats(),
             replans,
             plan_switches,
+            work,
         }
     }
 
@@ -1506,7 +1531,15 @@ impl<'a> FederationRuntime<'a> {
     /// execution time (and pressure feedback is on), the selection is
     /// speculatively re-run against *live* gate pressure — see the re-plan
     /// block below.
-    fn process(&self, admitted: &AdmittedJob, waited_s: f64) -> Result<ProcessOutcome, RuntimeError> {
+    ///
+    /// `work` accumulates the job's fragment executions and cost-model
+    /// builds as they happen, so a failed job is counted too.
+    fn process(
+        &self,
+        admitted: &AdmittedJob,
+        waited_s: f64,
+        work: &mut WorkCounters,
+    ) -> Result<ProcessOutcome, RuntimeError> {
         let job = &admitted.job;
         let query = &job.query;
         let scheduler_err =
@@ -1526,6 +1559,17 @@ impl<'a> FederationRuntime<'a> {
         // shape, pinned table contents), so the plan cache serves them by
         // (scope, prepare/combine fingerprints, pinned table identities) —
         // an ingest publish retires the identities and forces a rebuild.
+        //
+        // Execute once: profiling runs the three fragments through the
+        // fused executor, and their outputs — the same for every candidate
+        // placement — are bound to execution as `prepared`. Each fragment
+        // takes its output where it would have executed: after the outage
+        // check, the fragment-cache probe and the admission permit, before
+        // pacing, the permit release and the cache insert, so faults, cache
+        // counters, admission statistics and the simulated ledger replay
+        // exactly. Retries reuse the outputs (a failed run hands back what
+        // it took). The plan cache stays table-free: a plan-cache hit has
+        // no outputs and executes its fragments.
         let plan_key = self.plan_cache.as_ref().and(table_ids.as_ref()).and_then(|ids| {
             let left_id = *ids.get(&query.left_table)?;
             let right_id = *ids.get(&query.right_table)?;
@@ -1554,6 +1598,7 @@ impl<'a> FederationRuntime<'a> {
             (Some(cache), Some(key)) => cache.get(key),
             _ => None,
         };
+        let mut prepared: Option<PreparedOutputs> = None;
         let planned = match cached_plan {
             Some(hit) => hit,
             None => {
@@ -1564,8 +1609,13 @@ impl<'a> FederationRuntime<'a> {
                     self.config.max_vms,
                 )
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
-                let model = PlanCostModel::build(self.placement, query, &catalog)
+                let outputs = execute_fragments(query, &catalog, self.config.partition_degree)
                     .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                work.fragment_executions += outputs.len() as u64;
+                let model = PlanCostModel::from_outputs(self.placement, query, &outputs)
+                    .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                work.cost_model_builds += 1;
+                prepared = Some(PreparedOutputs::new(outputs));
                 let entry = Arc::new(CachedPlan { space, model });
                 if let (Some(cache), Some(key)) = (&self.plan_cache, &plan_key) {
                     // Nominal footprint: the space's candidate list plus a
@@ -1684,31 +1734,35 @@ impl<'a> FederationRuntime<'a> {
                 executor =
                     executor.with_faults(plan, admitted.sequence as u64 + attempt as u64);
             }
-            let executed =
-                match executor.run_with_scale(&federated, &catalog, self.config.work_scale) {
-                    Ok(executed) => executed,
-                    Err(EngineError::SiteUnavailable { site }) => {
-                        if !hot_sites.contains(&site) {
-                            hot_sites.push(site);
-                        }
-                        if attempt + 1 == max_attempts {
-                            return Err(RuntimeError::SiteUnavailable {
-                                tenant: job.tenant.clone(),
-                                site,
-                                attempts: max_attempts,
-                            });
-                        }
-                        // Exponential wall-clock backoff before the retry
-                        // (default base 0.0 = no sleep; simulated outcomes
-                        // never depend on it).
-                        let backoff = self.config.backoff_base_s * f64::powi(2.0, attempt as i32);
-                        if backoff > 0.0 {
-                            std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
-                        }
-                        continue;
+            if let Some(outputs) = &prepared {
+                executor = executor.with_prepared_outputs(outputs);
+            }
+            let run = executor.run_with_scale(&federated, &catalog, self.config.work_scale);
+            work.fragment_executions += executor.fragment_executions();
+            let executed = match run {
+                Ok(executed) => executed,
+                Err(EngineError::SiteUnavailable { site }) => {
+                    if !hot_sites.contains(&site) {
+                        hot_sites.push(site);
                     }
-                    Err(e) => return Err(scheduler_err(SchedulerError::Engine(e))),
-                };
+                    if attempt + 1 == max_attempts {
+                        return Err(RuntimeError::SiteUnavailable {
+                            tenant: job.tenant.clone(),
+                            site,
+                            attempts: max_attempts,
+                        });
+                    }
+                    // Exponential wall-clock backoff before the retry
+                    // (default base 0.0 = no sleep; simulated outcomes
+                    // never depend on it).
+                    let backoff = self.config.backoff_base_s * f64::powi(2.0, attempt as i32);
+                    if backoff > 0.0 {
+                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
+                    }
+                    continue;
+                }
+                Err(e) => return Err(scheduler_err(SchedulerError::Engine(e))),
+            };
 
             // Deadline: judged on the attempt that ran to completion,
             // before the observation can contaminate the learners.

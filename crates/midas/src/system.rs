@@ -7,7 +7,7 @@ use midas_engines::sim::DriftIntensity;
 use midas_engines::{Catalog, EngineKind, Placement};
 use midas_ires::optimizer::{moqp_exhaustive, MoqpOutcome};
 use midas_ires::scheduler::{Scheduler, SchedulerConfig, SchedulerError};
-use midas_ires::{CandidateConfig, EnumerationSpace, Modelling, PlanCostModel};
+use midas_ires::{CandidateConfig, EnumerationSpace, Modelling};
 use midas_moo::select::Constraints;
 use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
@@ -226,8 +226,9 @@ impl MidasSession<'_> {
         let space =
             EnumerationSpace::for_query(self.federation, self.placement, query, self.max_vms)
                 .map_err(SchedulerError::Engine)?;
-        let model = PlanCostModel::build(self.placement, query, tables)
-            .map_err(SchedulerError::Engine)?;
+        // Profile once: the fragment outputs that price every candidate
+        // are handed to execution below instead of being recomputed.
+        let (model, prepared) = self.scheduler.profile(query, tables)?;
         let weights = WeightedSumModel::new(&policy.weights);
         let outcome: MoqpOutcome = moqp_exhaustive(
             &space,
@@ -237,9 +238,9 @@ impl MidasSession<'_> {
             &policy.constraints,
         );
 
-        let executed = self
-            .scheduler
-            .execute_with_config(query, &outcome.chosen, tables)?;
+        let executed =
+            self.scheduler
+                .execute_prepared(query, &outcome.chosen, tables, &prepared)?;
 
         // Learn: per query class (Q12, Q13, …), keyed by the class prefix.
         let n_features = executed.features.len();

@@ -2,7 +2,11 @@
 # Tier-1 verification for the MIDAS reproduction workspace.
 #
 # Stages:
-#   1. release build of every crate;
+#   1. release build of every crate, plus the repository benchmark
+#      (perfbench/, its own cargo workspace): its traced replay calls the
+#      runtime's public pieces one by one (PlanCostModel::build, the
+#      ResultCacheBinding literal, the SharedExecutor builders), so an API
+#      change that breaks it fails here rather than at benchmark time;
 #   2. the full test suite (unit, golden, property and differential tests);
 #   3. clippy on every workspace crate with warnings denied;
 #   4. a smoke run of the engine_exec criterion benches (--test mode);
@@ -61,13 +65,16 @@
 #      recorded on smaller hosts). A 10-minute timeout bounds the stage.
 #   9. the multi-tenant cache run, which records BENCH_cache_hit.json
 #      (target/repro/ and repo root): a 16-tenant repeated medical
-#      workload served twice by a cache-disabled and a cache-enabled
-#      runtime from identically seeded states. Gates: the warm
-#      (all-hits) pass is bit-identical to the cold pass — including the
-#      simulated cost vectors at 1 worker, plans/rows/fingerprints at 4
-#      workers — and clears a >= 5x warm/cold qps speedup at 1 worker;
+#      workload served by a cache-disabled and a cache-enabled runtime
+#      from identically seeded states, one priming pass then five
+#      measured cold/warm pass pairs. Gates: every warm (all-hits) pass is
+#      bit-identical to its cold pass — including the simulated cost
+#      vectors at 1 worker, plans/rows/fingerprints at 4 workers — and
+#      runs 0 fragment executions and 0 cost-model builds, while every
+#      cold pass runs exactly 3 fragment executions and 1 build per job;
 #      a budget-halved run keeps evicting without ever exceeding its
-#      byte budget.
+#      byte budget. The warm/cold qps speedup is recorded (median, min,
+#      max), not gated.
 #  10. the adaptive-planning tail run, which records
 #      BENCH_adaptive_tail.json (target/repro/ and repo root): a skewed
 #      four-tenant workload streamed in bursts while the blind planner's
@@ -97,6 +104,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> build (release)"
 cargo build --release --offline
+
+echo "==> build the repository benchmark (perfbench)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> tests"
 cargo test -q --offline
