@@ -421,14 +421,21 @@ fn numeric_pair(l: &Value, r: &Value, op: BinOp) -> Result<(f64, f64), EngineErr
     }
 }
 
+/// The error every path raises when a numeric comparison meets a NaN.
+/// Built lazily (`ok_or_else`), so the per-row comparison loops allocate
+/// nothing unless they actually fail.
+fn nan_comparison() -> EngineError {
+    EngineError::TypeMismatch {
+        context: "NaN comparison".to_string(),
+    }
+}
+
 fn compare_values(l: &Value, r: &Value) -> Result<std::cmp::Ordering, EngineError> {
     match (l, r) {
         (Value::Utf8(a), Value::Utf8(b)) => Ok(a.cmp(b)),
         (Value::Bool(a), Value::Bool(b)) => Ok(a.cmp(b)),
         _ => match (l.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).ok_or(EngineError::TypeMismatch {
-                context: "NaN comparison".to_string(),
-            }),
+            (Some(a), Some(b)) => a.partial_cmp(&b).ok_or_else(nan_comparison),
             _ => Err(EngineError::TypeMismatch {
                 context: format!("compare {l:?} with {r:?}"),
             }),
@@ -445,6 +452,28 @@ fn compare_values(l: &Value, r: &Value) -> Result<std::cmp::Ordering, EngineErro
 // borrowed from the expression tree. Semantics (Kleene NULL logic, numeric
 // widening, error conditions) match `Expr::eval` exactly — the differential
 // property tests in `tests/vectorized_differential.rs` enforce this.
+//
+// Mask-free fast paths. Most operands carry no NULL mask: columns without
+// a validity vector, results of kernels over such columns, and literals.
+// When every operand of a kernel is mask-free (`Dense`: a vector with
+// `valid == None`, or a constant) — on a dense morsel or under a selection
+// vector alike — the kernel takes a first match arm that runs one typed,
+// branch-free loop per operator: comparisons (numeric, and a string column
+// against a literal), arithmetic, Kleene AND/OR, NOT, numeric and string
+// IN lists, the column load and `sel_from_bools`. Numeric and boolean
+// loops vectorize. Everything else (masked or mixed-family operands) takes
+// the per-row fallback loop, unchanged.
+//
+// The fast arms raise exactly the fallback's errors. The fallback compares
+// every row where both sides are non-NULL and fails on the first NaN; with
+// no masks that is every row, so it fails iff some operand slot is NaN
+// (and the batch is non-empty). The fast arm checks exactly that before
+// its loop — for Float operands, and for Int ones, whose f64 widening can
+// overflow to inf and then to NaN; Date operands are widened `i32`s and
+// skip the scan. Without NaN, `<`, `<=`, `==`, … agree with
+// `ord_matches(partial_cmp)`. Division is the same argument: with every
+// row computed, the fallback fails iff some divisor is zero.
+// `tests/kernel_fast_paths.rs` pins both arms against `Expr::eval`.
 
 /// Numeric type tag of a batch vector. Mirrors `Value`'s numeric variants:
 /// arithmetic on two `Int` operands yields `Int` (except division), every
@@ -525,7 +554,7 @@ impl<'s> SelView<'s> {
         SelView {
             sel,
             base: 0,
-            n: sel.map_or(table.n_rows(), |s| s.len()),
+            n: sel.map_or_else(|| table.n_rows(), <[u32]>::len),
         }
     }
 
@@ -737,6 +766,141 @@ impl StrSide<'_> {
     }
 }
 
+/// A mask-free operand: a vector without a validity mask, or a constant —
+/// every selected row holds a value. When all of a kernel's operands are
+/// `Dense` it runs one of the typed loops below instead of its per-row
+/// fallback.
+#[derive(Clone, Copy)]
+enum Dense<'v, T> {
+    Vec(&'v [T]),
+    Const(T),
+}
+
+impl<'v> NumSide<'v> {
+    fn dense(&self) -> Option<Dense<'v, f64>> {
+        match *self {
+            NumSide::Vec(vals, None) => Some(Dense::Vec(vals)),
+            NumSide::Const(c) => Some(Dense::Const(c)),
+            NumSide::Vec(_, Some(_)) => None,
+        }
+    }
+}
+
+impl<'v> BoolSide<'v> {
+    fn dense(&self) -> Option<Dense<'v, bool>> {
+        match *self {
+            BoolSide::Vec(vals, None) => Some(Dense::Vec(vals)),
+            BoolSide::Const(c) => Some(Dense::Const(c)),
+            BoolSide::Vec(_, Some(_)) => None,
+        }
+    }
+}
+
+/// `out[pos] = f(l[pos], r[pos])` over two mask-free operands of `out`'s
+/// length: one branch-free loop per operand shape, which the compiler
+/// vectorizes for numeric and boolean elements.
+#[inline(always)]
+fn fill_zip<T: Copy, U: Copy>(
+    out: &mut [U],
+    l: Dense<'_, T>,
+    r: Dense<'_, T>,
+    f: impl Fn(T, T) -> U,
+) {
+    match (l, r) {
+        (Dense::Vec(a), Dense::Vec(b)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Dense::Vec(a), Dense::Const(y)) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x, y);
+            }
+        }
+        (Dense::Const(x), Dense::Vec(b)) => {
+            for (o, &y) in out.iter_mut().zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Dense::Const(x), Dense::Const(y)) => out.fill(f(x, y)),
+    }
+}
+
+/// `out[pos] = f(string at the pos-th selected row)` over a mask-free
+/// string column: a slice walk on a dense morsel, an index walk under a
+/// selection vector.
+#[inline(always)]
+fn fill_rows(out: &mut [bool], col: &[String], sv: &SelView<'_>, f: impl Fn(&str) -> bool) {
+    match sv.sel {
+        None => {
+            for (o, s) in out.iter_mut().zip(&col[sv.base..sv.base + sv.n]) {
+                *o = f(s);
+            }
+        }
+        Some(sel) => {
+            for (o, &row) in out.iter_mut().zip(sel) {
+                *o = f(&col[row as usize]);
+            }
+        }
+    }
+}
+
+/// [`fill_rows`] comparing each string against a literal right operand.
+#[inline(always)]
+fn fill_str_lit(
+    out: &mut [bool],
+    col: &[String],
+    sv: &SelView<'_>,
+    lit: &str,
+    f: impl Fn(&str, &str) -> bool,
+) {
+    fill_rows(out, col, sv, |s| f(s, lit));
+}
+
+/// Expands `$fill(args.., cmp)` once per comparison operator, so every
+/// operator gets its own monomorphized loop instead of a per-row `match`.
+/// Without NaN the primitive operators agree with `ord_matches` over
+/// `partial_cmp` (and with `Ord::cmp` on strings).
+macro_rules! per_cmp_op {
+    ($op:expr, $fill:ident($($arg:expr),*)) => {
+        match $op {
+            BinOp::Eq => $fill($($arg,)* |x, y| x == y),
+            BinOp::Ne => $fill($($arg,)* |x, y| x != y),
+            BinOp::Lt => $fill($($arg,)* |x, y| x < y),
+            BinOp::Le => $fill($($arg,)* |x, y| x <= y),
+            BinOp::Gt => $fill($($arg,)* |x, y| x > y),
+            BinOp::Ge => $fill($($arg,)* |x, y| x >= y),
+            // LINT: panic-ok — only cmp_batch expands this, and it is only
+            // called with the six comparison operators.
+            _ => unreachable!("not a comparison"),
+        }
+    };
+}
+
+/// The comparison that holds with its operands swapped (`a < b` iff
+/// `b > a`).
+fn flip_cmp(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+/// Whether a mask-free numeric operand holds a NaN. `Date` operands are
+/// widened `i32`s and never NaN, so they skip the scan; `Int` operands are
+/// scanned too, because a long enough chain of integer products can reach
+/// ±inf in the f64 widening and `inf - inf` is NaN.
+fn dense_has_nan(d: Dense<'_, f64>, ty: NumTy) -> bool {
+    match d {
+        _ if ty == NumTy::Date => false,
+        Dense::Vec(v) => v.iter().fold(false, |acc, x| acc | x.is_nan()),
+        Dense::Const(c) => c.is_nan(),
+    }
+}
+
 /// Type-erased operand: which family of comparison applies.
 enum Side<'v> {
     N(NumSide<'v>, NumTy),
@@ -812,6 +976,15 @@ enum BoolOperand<'v> {
     Null,
 }
 
+impl<'v> BoolOperand<'v> {
+    fn dense(&self) -> Option<Dense<'v, bool>> {
+        match self {
+            BoolOperand::Op(bs) => bs.dense(),
+            BoolOperand::Null => None,
+        }
+    }
+}
+
 fn as_bool_operand<'v>(side: Side<'v>, sv: &SelView<'_>) -> Result<BoolOperand<'v>, EngineError> {
     match side {
         Side::B(bs) => Ok(BoolOperand::Op(bs)),
@@ -864,6 +1037,33 @@ fn arith_batch(
             _ => unreachable!("arith op"),
         };
         return Ok(BatchVals::ConstNum { val, ty: out_ty });
+    }
+    if let (Some(ld), Some(rd)) = (ls.dense(), rs.dense()) {
+        // Every row is computed, so the per-row loop would fail on the
+        // first zero divisor: checking for one up front is equivalent.
+        if op == Div {
+            let zero = match rd {
+                Dense::Vec(v) => v.contains(&0.0),
+                Dense::Const(y) => y == 0.0,
+            };
+            if zero {
+                return Err(EngineError::DivisionByZero);
+            }
+        }
+        let mut vals = scratch.take_f64(n);
+        match op {
+            Add => fill_zip(&mut vals, ld, rd, |x, y| x + y),
+            Sub => fill_zip(&mut vals, ld, rd, |x, y| x - y),
+            Mul => fill_zip(&mut vals, ld, rd, |x, y| x * y),
+            Div => fill_zip(&mut vals, ld, rd, |x, y| x / y),
+            // LINT: panic-ok — arith_batch is only called with Add/Sub/Mul/Div.
+            _ => unreachable!("arith op"),
+        }
+        return Ok(BatchVals::Num {
+            vals,
+            valid: None,
+            ty: out_ty,
+        });
     }
     let mut vals = scratch.take_f64(n);
     let mut valid: Option<Vec<bool>> = None;
@@ -923,18 +1123,31 @@ fn cmp_batch(
     let mut vals = scratch.take_bools(n, false);
     let mut valid: Option<Vec<bool>> = None;
     match (&l, &r) {
-        (Side::N(ls, _), Side::N(rs, _)) => {
+        (Side::N(ls, lty), Side::N(rs, rty)) => {
+            if let (Some(ld), Some(rd)) = (ls.dense(), rs.dense()) {
+                // Every row is compared, so the per-row loop fails iff some
+                // row holds a NaN: checking up front is equivalent.
+                if n > 0 && (dense_has_nan(ld, *lty) || dense_has_nan(rd, *rty)) {
+                    return Err(nan_comparison());
+                }
+                per_cmp_op!(op, fill_zip(&mut vals, ld, rd));
+                return Ok(BatchVals::Bools { vals, valid: None });
+            }
             for pos in 0..n {
                 match (ls.at(pos), rs.at(pos)) {
                     (Some(x), Some(y)) => {
-                        let ord = x.partial_cmp(&y).ok_or(EngineError::TypeMismatch {
-                            context: "NaN comparison".to_string(),
-                        })?;
+                        let ord = x.partial_cmp(&y).ok_or_else(nan_comparison)?;
                         vals[pos] = ord_matches(op, ord);
                     }
                     _ => lazy_mask(&mut valid, scratch, n)[pos] = false,
                 }
             }
+        }
+        (Side::S(StrSide::Col(col, None)), Side::S(StrSide::Const(lit))) => {
+            per_cmp_op!(op, fill_str_lit(&mut vals, col, sv, lit));
+        }
+        (Side::S(StrSide::Const(lit)), Side::S(StrSide::Col(col, None))) => {
+            per_cmp_op!(flip_cmp(op), fill_str_lit(&mut vals, col, sv, lit));
         }
         (Side::S(ls), Side::S(rs)) => {
             for pos in 0..n {
@@ -1000,6 +1213,14 @@ fn kleene_batch(
         };
     }
     let mut vals = scratch.take_bools(n, false);
+    if let (Some(ld), Some(rd)) = (l.dense(), r.dense()) {
+        if op == BinOp::And {
+            fill_zip(&mut vals, ld, rd, |x, y| x & y);
+        } else {
+            fill_zip(&mut vals, ld, rd, |x, y| x | y);
+        }
+        return BatchVals::Bools { vals, valid: None };
+    }
     let mut valid: Option<Vec<bool>> = None;
     for pos in 0..n {
         match combine_kleene(op, at(&l, pos), at(&r, pos)) {
@@ -1021,63 +1242,54 @@ fn combine_kleene(op: BinOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
     }
 }
 
+/// Copies `src` at the selected rows into `out` through `f`: a slice walk
+/// on a dense morsel, an index gather under a selection vector.
+#[inline(always)]
+fn gather_into<T: Copy, U>(src: &[T], sv: &SelView<'_>, out: &mut Vec<U>, f: impl Fn(T) -> U) {
+    out.clear();
+    match sv.sel {
+        None => out.extend(src[sv.base..sv.base + sv.n].iter().map(|&x| f(x))),
+        Some(sel) => out.extend(sel.iter().map(|&row| f(src[row as usize]))),
+    }
+}
+
 /// `Expr::Col` kernel: gathers one column under the selection view into a
 /// typed batch vector (strings stay borrowed in place).
 fn col_batch<'a>(col: &'a Column, sv: &SelView<'_>, scratch: &mut EvalScratch) -> BatchVals<'a> {
-    let n = sv.len();
     fn gather_valid(
         validity: &Option<Vec<bool>>,
         sv: &SelView<'_>,
         scratch: &mut EvalScratch,
     ) -> Option<Vec<bool>> {
         validity.as_ref().map(|v| {
-            let n = sv.len();
-            let mut out = scratch.take_bools(n, false);
-            for (pos, slot) in out.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)];
-            }
+            let mut out = scratch.take_bools(0, false);
+            gather_into(v, sv, &mut out, |b| b);
             out
         })
     }
+    fn num<T: Copy>(
+        src: &[T],
+        widen: impl Fn(T) -> f64,
+        ty: NumTy,
+        col: &Column,
+        sv: &SelView<'_>,
+        scratch: &mut EvalScratch,
+    ) -> BatchVals<'static> {
+        let mut vals = scratch.take_f64(0);
+        gather_into(src, sv, &mut vals, widen);
+        BatchVals::Num {
+            vals,
+            valid: gather_valid(&col.validity, sv, scratch),
+            ty,
+        }
+    }
     match &col.data {
-        ColumnData::Int64(v) => {
-            let mut vals = scratch.take_f64(n);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)] as f64;
-            }
-            BatchVals::Num {
-                vals,
-                valid: gather_valid(&col.validity, sv, scratch),
-                ty: NumTy::Int,
-            }
-        }
-        ColumnData::Float64(v) => {
-            let mut vals = scratch.take_f64(n);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)];
-            }
-            BatchVals::Num {
-                vals,
-                valid: gather_valid(&col.validity, sv, scratch),
-                ty: NumTy::Float,
-            }
-        }
-        ColumnData::Date(v) => {
-            let mut vals = scratch.take_f64(n);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)] as f64;
-            }
-            BatchVals::Num {
-                vals,
-                valid: gather_valid(&col.validity, sv, scratch),
-                ty: NumTy::Date,
-            }
-        }
+        ColumnData::Int64(v) => num(v, |x| x as f64, NumTy::Int, col, sv, scratch),
+        ColumnData::Float64(v) => num(v, |x| x, NumTy::Float, col, sv, scratch),
+        ColumnData::Date(v) => num(v, f64::from, NumTy::Date, col, sv, scratch),
         ColumnData::Bool(v) => {
-            let mut vals = scratch.take_bools(n, false);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)];
-            }
+            let mut vals = scratch.take_bools(0, false);
+            gather_into(v, sv, &mut vals, |b| b);
             BatchVals::Bools {
                 vals,
                 valid: gather_valid(&col.validity, sv, scratch),
@@ -1123,6 +1335,12 @@ fn not_batch(
         BoolOperand::Op(BoolSide::Const(b)) => Ok(BatchVals::ConstBool(!b)),
         BoolOperand::Op(bs) => {
             let mut vals = scratch.take_bools(n, false);
+            if let Some(Dense::Vec(v)) = bs.dense() {
+                for (o, &b) in vals.iter_mut().zip(v) {
+                    *o = !b;
+                }
+                return Ok(BatchVals::Bools { vals, valid: None });
+            }
             let mut valid: Option<Vec<bool>> = None;
             for pos in 0..n {
                 match bs.at(pos) {
@@ -1204,40 +1422,66 @@ fn contains_batch(
     }
 }
 
+/// An `IN` list's candidates split by probe family, resolved once per
+/// compiled plan rather than once per batch. Only numeric candidates can
+/// equal a numeric probe, only booleans a boolean and only strings a
+/// string (`values_equal` semantics); NULL candidates never match.
+struct InCands<'e> {
+    nums: Vec<f64>,
+    bools: Vec<bool>,
+    strs: Vec<&'e str>,
+}
+
+impl<'e> InCands<'e> {
+    fn new(list: &'e [Value]) -> Self {
+        let mut cands = InCands {
+            nums: Vec::new(),
+            bools: Vec::new(),
+            strs: Vec::new(),
+        };
+        for v in list {
+            match v {
+                Value::Bool(b) => cands.bools.push(*b),
+                Value::Utf8(s) => cands.strs.push(s),
+                other => cands.nums.extend(other.as_f64()),
+            }
+        }
+        cands
+    }
+}
+
 /// `Expr::InList` kernel.
 fn in_list_batch(
     inner: &BatchVals<'_>,
-    list: &[Value],
+    cands: &InCands<'_>,
     sv: &SelView<'_>,
     scratch: &mut EvalScratch,
 ) -> Result<BatchVals<'static>, EngineError> {
     let n = sv.len();
     match classify(inner) {
         Side::Null => Ok(BatchVals::ConstNull),
-        Side::N(ns, _) => {
-            // Only numeric candidates can match a numeric probe
-            // (values_equal semantics).
-            let cands: Vec<f64> = list.iter().filter_map(|v| v.as_f64()).collect();
-            in_list_kernel(n, scratch, |pos| ns.at(pos), |x| cands.contains(&x))
+        Side::N(NumSide::Vec(v, None), _) => {
+            // One vectorizable pass per candidate.
+            let mut vals = scratch.take_bools(n, false);
+            for &c in &cands.nums {
+                for (o, &x) in vals.iter_mut().zip(v) {
+                    *o |= x == c;
+                }
+            }
+            Ok(BatchVals::Bools { vals, valid: None })
         }
-        Side::B(bs) => {
-            let cands: Vec<bool> = list
-                .iter()
-                .filter_map(|v| match v {
-                    Value::Bool(b) => Some(*b),
-                    _ => None,
-                })
-                .collect();
-            in_list_kernel(n, scratch, |pos| bs.at(pos), |x| cands.contains(&x))
+        Side::N(ns, _) => in_list_kernel(n, scratch, |pos| ns.at(pos), |x| cands.nums.contains(&x)),
+        Side::B(bs) => in_list_kernel(n, scratch, |pos| bs.at(pos), |x| cands.bools.contains(&x)),
+        Side::S(StrSide::Col(col, None)) => {
+            let mut vals = scratch.take_bools(n, false);
+            fill_rows(&mut vals, col, sv, |s| cands.strs.contains(&s));
+            Ok(BatchVals::Bools { vals, valid: None })
         }
         Side::S(ss) => in_list_kernel(
             n,
             scratch,
             |pos| ss.at(sv, pos),
-            |x| {
-                list.iter()
-                    .any(|cand| matches!(cand, Value::Utf8(c) if c.as_str() == x))
-            },
+            |x| cands.strs.contains(&x),
         ),
     }
 }
@@ -1283,6 +1527,28 @@ fn sel_from_bools(
             Ok(())
         }
         Side::B(BoolSide::Const(false)) | Side::Null => Ok(()),
+        Side::B(BoolSide::Vec(vals, None)) => {
+            // Branch-free compaction: write every row id, advance past the
+            // selected ones.
+            out.resize(n, 0);
+            let mut k = 0;
+            match sv.sel {
+                None => {
+                    for (pos, &b) in vals.iter().enumerate() {
+                        out[k] = (sv.base + pos) as u32;
+                        k += usize::from(b);
+                    }
+                }
+                Some(sel) => {
+                    for (&row, &b) in sel.iter().zip(vals) {
+                        out[k] = row;
+                        k += usize::from(b);
+                    }
+                }
+            }
+            out.truncate(k);
+            Ok(())
+        }
         Side::B(bs) => {
             for pos in 0..n {
                 if bs.at(pos) == Some(true) {
@@ -1352,7 +1618,7 @@ impl Expr {
             }
             Expr::InList { expr, list } => {
                 let inner = expr.eval_batch_in(table, sel, scratch)?;
-                let out = in_list_batch(&inner, list, &sv, scratch);
+                let out = in_list_batch(&inner, &InCands::new(list), &sv, scratch);
                 scratch.recycle(inner);
                 out
             }
@@ -1451,10 +1717,10 @@ enum KStep<'e> {
         needle: &'e str,
         dst: usize,
     },
-    /// Literal-list membership.
+    /// Literal-list membership, candidates resolved at compile time.
     InList {
         src: usize,
-        list: &'e [Value],
+        cands: InCands<'e>,
         dst: usize,
     },
 }
@@ -1559,7 +1825,11 @@ fn compile_node<'e>(
         Expr::InList { expr, list } => {
             let src = compile_node(expr, plan, col_regs);
             let dst = alloc(plan);
-            plan.steps.push(KStep::InList { src, list, dst });
+            plan.steps.push(KStep::InList {
+                src,
+                cands: InCands::new(list),
+                dst,
+            });
             dst
         }
         Expr::Bin { op, left, right } => {
@@ -1608,8 +1878,8 @@ impl<'e> KernelPlan<'e> {
                 KStep::Contains { src, needle, dst } => {
                     (*dst, contains_batch(reg(&regs, *src), needle, sv, scratch)?)
                 }
-                KStep::InList { src, list, dst } => {
-                    (*dst, in_list_batch(reg(&regs, *src), list, sv, scratch)?)
+                KStep::InList { src, cands, dst } => {
+                    (*dst, in_list_batch(reg(&regs, *src), cands, sv, scratch)?)
                 }
                 KStep::Bin { op, l, r, dst } => (
                     *dst,

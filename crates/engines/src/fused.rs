@@ -664,7 +664,7 @@ fn project_slab_morsels(
     if kernel_runs.is_empty() {
         return Ok(());
     }
-    let n = sel.map_or(t.n_rows(), <[u32]>::len);
+    let n = sel.map_or_else(|| t.n_rows(), <[u32]>::len);
     for_each_morsel(n, sel, |sv| {
         for run in kernel_runs.iter_mut() {
             let part = match &run.kind {
@@ -697,7 +697,7 @@ fn filter_project_slab_morsels(
     scratch: &mut EvalScratch,
 ) -> Result<Vec<u32>, EngineError> {
     let cols = KernelCols::Table(t);
-    let n = sel.map_or(t.n_rows(), <[u32]>::len);
+    let n = sel.map_or_else(|| t.n_rows(), <[u32]>::len);
     let mut acc = scratch.take_sel();
     let mut tmp = scratch.take_sel();
     let res = for_each_morsel(n, sel, |sv| {
@@ -1206,7 +1206,7 @@ impl<'t> DeferredJoin<'t> {
     /// misses (`take_opt_ids` emits empty strings there) — the identical
     /// float expression, bit for bit.
     fn bytes_sel(&self, sel: Option<&[u32]>) -> u64 {
-        let n = sel.map_or(self.n(), <[u32]>::len);
+        let n = sel.map_or_else(|| self.n(), <[u32]>::len);
         let mut per_row = 0.0f64;
         for c in self.lt.columns() {
             per_row += match &c.data {

@@ -84,6 +84,7 @@ use midas_ires::{assemble, execute_fragments, EnumerationSpace, ModellingRegistr
 use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -1026,6 +1027,9 @@ pub struct FederationRuntime<'a> {
     /// The plan/cost-model cache (`None` when
     /// [`RuntimeConfig::plan_cache_bytes`] is 0).
     plan_cache: Option<ScopedCache<CacheKey, Arc<CachedPlan>>>,
+    /// Three-plan admission analyses run so far (see
+    /// [`FederationRuntime::admission_analyses`]).
+    admission_analyses: AtomicU64,
 }
 
 impl<'a> FederationRuntime<'a> {
@@ -1065,6 +1069,7 @@ impl<'a> FederationRuntime<'a> {
                 .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
             plan_cache: (config.plan_cache_bytes > 0)
                 .then(|| ScopedCache::new(config.plan_cache_bytes)),
+            admission_analyses: AtomicU64::new(0),
         }
     }
 
@@ -1149,6 +1154,14 @@ impl<'a> FederationRuntime<'a> {
                 .map(ScopedCache::stats)
                 .unwrap_or_default(),
         }
+    }
+
+    /// Admission analyses run over the runtime's lifetime: every submitted
+    /// job — `run` or `serve`, accepted or rejected — is statically
+    /// validated exactly once, before it is queued (three fragment plans
+    /// per analysis). Retries and re-plans never re-validate.
+    pub fn admission_analyses(&self) -> u64 {
+        self.admission_analyses.load(Ordering::Relaxed)
     }
 
     /// The currently published catalog version number.
@@ -1284,6 +1297,7 @@ impl<'a> FederationRuntime<'a> {
         job: &RuntimeJob,
         pinned: &CatalogVersion,
     ) -> Option<RuntimeError> {
+        self.admission_analyses.fetch_add(1, Ordering::Relaxed);
         let schemas = midas_engines::SchemaCatalog::from_version(pinned);
         let q = &job.query;
         let analyses = midas_engines::analyze_fragment_plans(
