@@ -22,10 +22,18 @@
 //!   On fewer cores (e.g. a 1-CPU CI container, where OS threads cannot
 //!   physically overlap) the measured numbers are still recorded, and the
 //!   gate is reported as skipped rather than lying about hardware.
+//!
+//! A third section times each query's three fragments (left prepare,
+//! right prepare, combine) one by one through the fused executor — the
+//! path the runtime runs — at partition degree 1 on SF 0.05, the
+//! benchmark's TPC-H database. Samples interleave the fragments; median,
+//! min and max are recorded, not gated. Before timing, every fragment's
+//! fused output is gated bit for bit against `execute_scalar`: table,
+//! `WorkProfile` and fingerprint.
 
 use midas_bench::{print_table, write_json};
 use midas_engines::ops::{execute, execute_scalar, execute_with_partitions};
-use midas_engines::Catalog;
+use midas_engines::{execute_fused_with_partitions, Catalog, PhysicalPlan};
 use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
 use std::time::Instant;
@@ -43,6 +51,10 @@ const GATE_DEGREE: usize = 4;
 const GATE_SPEEDUP: f64 = 1.4;
 /// Cores needed before the wall-clock gate is meaningful.
 const GATE_MIN_CPUS: usize = 4;
+/// Interleaved samples of the per-fragment timing.
+const FRAGMENT_SAMPLES: usize = 15;
+/// Seed of the per-fragment database: the benchmark's TPC-H base tables.
+const FRAGMENT_DATA_SEED: u64 = 42;
 
 fn median_secs_n(samples: usize, mut run: impl FnMut()) -> f64 {
     run(); // warmup
@@ -139,6 +151,85 @@ fn partitioned_combine_sweep() -> (Vec<serde_json::Value>, Vec<(String, f64)>) {
     (json_rows, gate_speedups)
 }
 
+/// Median, min and max of one fragment's samples, in seconds.
+fn spread(samples: &mut [f64]) -> (f64, f64, f64) {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    (samples[samples.len() / 2], samples[0], samples[samples.len() - 1])
+}
+
+/// Per-fragment fused timings at degree 1, each fragment first gated
+/// bit for bit against the scalar oracle.
+fn fragment_timings() -> Vec<serde_json::Value> {
+    let db = TpchDb::generate(GenConfig::new(SWEEP_SF, FRAGMENT_DATA_SEED));
+    let queries: Vec<(&str, TwoTableQuery)> = vec![
+        ("Q12", q12("AIR", "MAIL", 1993)),
+        ("Q13", q13("special", "requests")),
+        ("Q14", q14(1996, 4)),
+        ("Q17", q17("Brand#54", "SM CASE")),
+    ];
+    println!(
+        "\nPer-fragment fused execution, degree 1, TPC-H sf={SWEEP_SF} \
+         (data seed {FRAGMENT_DATA_SEED}), {FRAGMENT_SAMPLES} interleaved samples, ms \
+         as median [min–max]:\n"
+    );
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut json_rows: Vec<serde_json::Value> = Vec::new();
+    for (name, q) in &queries {
+        let mut cat: Catalog = db.catalog().clone();
+        let fragments: [(&str, &PhysicalPlan); 3] = [
+            ("left_prepare", &q.left_prepare),
+            ("right_prepare", &q.right_prepare),
+            ("combine", &q.combine),
+        ];
+        for (i, (frag, plan)) in fragments.iter().enumerate() {
+            let (fused, fused_profile) =
+                execute_fused_with_partitions(plan, &cat, 1).expect("fused fragment runs");
+            let (scalar, scalar_profile) =
+                execute_scalar(plan, &cat).expect("scalar fragment runs");
+            assert_eq!(fused, scalar, "{name} {frag}: fused table differs from scalar");
+            assert_eq!(
+                fused_profile, scalar_profile,
+                "{name} {frag}: fused work profile differs from scalar"
+            );
+            assert_eq!(
+                fused.fingerprint(),
+                scalar.fingerprint(),
+                "{name} {frag}: fused fingerprint differs from scalar"
+            );
+            if i < 2 {
+                cat.insert(format!("@frag{i}"), fused);
+            }
+        }
+        let mut samples: [Vec<f64>; 3] = Default::default();
+        // One warmup round, then the timed rounds.
+        for _ in 0..=FRAGMENT_SAMPLES {
+            for (i, (_, plan)) in fragments.iter().enumerate() {
+                // LINT: wall-clock — this bench measures real executor time.
+                let t0 = Instant::now();
+                execute_fused_with_partitions(plan, &cat, 1).expect("fused fragment runs");
+                samples[i].push(t0.elapsed().as_secs_f64());
+            }
+        }
+        let mut row = vec![name.to_string()];
+        let mut spreads = Vec::with_capacity(3);
+        for fragment_samples in &mut samples {
+            let (median, min, max) = spread(&mut fragment_samples[1..]); // [0] is the warmup
+            row.push(format!("{:.2} [{:.2}–{:.2}]", median * 1e3, min * 1e3, max * 1e3));
+            spreads.push(serde_json::json!({ "median_s": median, "min_s": min, "max_s": max }));
+        }
+        rows.push(row);
+        json_rows.push(serde_json::json!({
+            "query": name,
+            "label": q.label,
+            "left_prepare": spreads[0],
+            "right_prepare": spreads[1],
+            "combine": spreads[2],
+        }));
+    }
+    print_table(&["query", "left_prepare", "right_prepare", "combine"], &rows);
+    json_rows
+}
+
 fn main() {
     let sf = 0.01;
     let db = TpchDb::generate(GenConfig::new(sf, 2));
@@ -213,6 +304,18 @@ fn main() {
         );
     }
 
+    let fragments_json = serde_json::json!({
+        "scale_factor": SWEEP_SF,
+        "data_seed": FRAGMENT_DATA_SEED,
+        "degree": 1,
+        "executor": "fused",
+        "samples": FRAGMENT_SAMPLES,
+        "unit": "seconds per fragment (median, min, max of interleaved samples)",
+        "parity": "fused == execute_scalar bit-for-bit per fragment (table, profile, fingerprint)",
+        "gated": false,
+        "rows": fragment_timings(),
+    });
+
     let gate_json = serde_json::json!({
         "queries": ["Q13", "Q17"],
         "degree": GATE_DEGREE,
@@ -236,6 +339,7 @@ fn main() {
             "unit": "seconds (median per full local pipeline)",
             "rows": json_rows,
             "partitioned_combine": partitioned_json,
+            "fragments": fragments_json,
         }),
     );
     // Keep a copy at the workspace root so the perf trajectory is visible

@@ -46,17 +46,21 @@
 //! Intra-operator parallelism reuses the partitioned join/group sharding
 //! of [`crate::ops`] unchanged (morsel loops themselves stay serial — the
 //! shards are the parallel unit, morsels are the cache-residency unit),
-//! so fused execution is deterministic at every partition degree.
+//! so fused execution is deterministic at every partition degree. Joins
+//! and group-bys on one unmasked `Int64` key with a dense span — including
+//! the deferred join and its group discovery — run serially on the
+//! direct-indexed key table of [`crate::ops`] at every degree, through the
+//! same shared functions.
 
 use crate::catalog::Catalog;
 use crate::data::{Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
-    accumulate_aggs, agg_bool_input, agg_num_input, agg_output_columns, aggregate_vec,
-    hash_join_vec, partitioned_group_ids, partitioned_join_indices, record_batch,
-    serial_group_ids, serial_join_indices, sort_sel, AggExpr, AggInput, Batch, JoinType, OpKind,
-    OpWork, PhysicalPlan, TableSlot, WorkProfile, MAX_PARTITION_DEGREE,
+    accumulate_aggs, agg_output_columns, aggregate_vec, hash_join_vec, partitioned_group_ids,
+    partitioned_join_indices, push_true_flags, record_batch, serial_group_ids,
+    serial_join_indices, sort_sel, AggExpr, AggInput, AggNums, Batch, JoinType, OpKind, OpWork,
+    PhysicalPlan, TableSlot, WorkProfile, MAX_PARTITION_DEGREE,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 
@@ -1274,14 +1278,14 @@ struct JoinAggInput<'x, 't> {
 }
 
 impl JoinAggInput<'_, '_> {
-    fn eval_rows_nums(&mut self, e: &Expr, rows: &[u32]) -> Result<Vec<Option<f64>>, EngineError> {
+    fn eval_rows_nums(&mut self, e: &Expr, rows: &[u32]) -> Result<AggNums, EngineError> {
         let kp = e.compile();
         self.dj.ensure_refs(kp.referenced_cols());
         let cols = KernelCols::Cols(&self.dj.cache);
-        let mut out = Vec::with_capacity(rows.len());
+        let mut out = AggNums::default();
         for_each_morsel(rows.len(), Some(rows), |sv| {
             let bv = kp.eval(&cols, &sv, self.scratch)?;
-            out.extend(agg_num_input(&bv, &sv));
+            out.push(&bv, sv.len());
             self.scratch.recycle(bv);
             Ok(())
         })?;
@@ -1290,35 +1294,35 @@ impl JoinAggInput<'_, '_> {
 }
 
 impl AggInput for JoinAggInput<'_, '_> {
-    fn eval_bools(&mut self, e: &Expr) -> Result<Vec<Option<bool>>, EngineError> {
+    fn eval_flags(&mut self, e: &Expr) -> Result<Vec<bool>, EngineError> {
         let kp = e.compile();
         self.dj.ensure_refs(kp.referenced_cols());
         let cols = KernelCols::Cols(&self.dj.cache);
         let mut out = Vec::with_capacity(self.positions.len());
         for_each_morsel(self.positions.len(), Some(self.positions), |sv| {
             let bv = kp.eval(&cols, &sv, self.scratch)?;
-            out.extend(agg_bool_input(&bv, &sv));
+            push_true_flags(&mut out, &bv, sv.len());
             self.scratch.recycle(bv);
             Ok(())
         })?;
         Ok(out)
     }
 
-    fn eval_nums(&mut self, e: &Expr) -> Result<Vec<Option<f64>>, EngineError> {
+    fn eval_nums(&mut self, e: &Expr) -> Result<AggNums, EngineError> {
         let positions = self.positions;
         self.eval_rows_nums(e, positions)
     }
 
-    fn eval_nums_at(
-        &mut self,
-        e: &Expr,
-        sub_pos: &[u32],
-    ) -> Result<Vec<Option<f64>>, EngineError> {
+    fn eval_nums_at(&mut self, e: &Expr, sub_pos: &[u32]) -> Result<AggNums, EngineError> {
         let rows: Vec<u32> = sub_pos
             .iter()
             .map(|&p| self.positions[p as usize])
             .collect();
         self.eval_rows_nums(e, &rows)
+    }
+
+    fn recycle(&mut self, nums: AggNums) {
+        nums.recycle(self.scratch);
     }
 }
 

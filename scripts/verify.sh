@@ -22,7 +22,12 @@
 #      >= 4 CPUs, where OS threads can physically overlap — a >= 1.4x
 #      Q13/Q17 combine-fragment speedup at 4 partitions (on fewer cores
 #      the sweep numbers are recorded and the wall-clock gate is reported
-#      as skipped);
+#      as skipped). A third section times every Q12/Q13/Q14/Q17 fragment
+#      (left_prepare, right_prepare, combine) through the fused executor
+#      at degree 1 on SF 0.05, recorded as median/min/max of interleaved
+#      samples and not gated, after gating each fragment's fused output
+#      against execute_scalar bit for bit (table, WorkProfile,
+#      fingerprint);
 #   6. the concurrent-runtime throughput run, which records
 #      BENCH_runtime_throughput.json (target/repro/ and repo root) —
 #      the multi-worker scaling trajectory of the FederationRuntime, plus
